@@ -27,6 +27,7 @@ use systolic_gossip::sg_sim::random::{
     run_randomized, summarize, ActivationModel, RandomizedConfig, RandomizedSummary,
 };
 use systolic_gossip::sg_sim::run_systolic;
+use systolic_gossip::sg_sim::sparse::LARGE_SIM_MEM_LIMIT;
 
 fn fast_mode() -> bool {
     std::env::var("SG_BENCH_FAST").is_ok_and(|v| v == "1")
@@ -35,10 +36,6 @@ fn fast_mode() -> bool {
 /// The master seed every recorded point uses: fixed, so the trajectory
 /// compares like with like across commits.
 const RAND_SEED: u64 = 1997;
-
-/// Per-trial sparse-state ceiling, matching the batch runner's
-/// large-sim budget.
-const MEM_LIMIT: usize = 6 << 30;
 
 /// One compared workload.
 struct Workload {
@@ -111,7 +108,8 @@ fn run_batch_for(g: &Digraph, model: ActivationModel, trials: usize) -> Option<R
         seed: RAND_SEED,
         max_rounds: 1_000_000,
         threads: batch_threads(),
-        mem_limit: Some(MEM_LIMIT),
+        // Per-trial sparse-state ceiling: the batch runner's budget.
+        mem_limit: Some(LARGE_SIM_MEM_LIMIT),
     };
     summarize(&run_randomized(g, &cfg))
 }

@@ -116,14 +116,26 @@ fn bench_sim_large(c: &mut Criterion) {
 
     let workloads: Vec<(&str, Network)> = if fast_mode() {
         // CI smoke: one mid-size Knödel point keeps the group's labels
-        // (and the JSON shape) exercised without the multi-second runs.
-        vec![(
-            "knodel",
-            Network::Knodel {
-                delta: 16,
-                n: 65_536,
-            },
-        )]
+        // (and the JSON shape) exercised without the multi-second runs;
+        // RR(20 000, 3) scatters its rows past the spill point, so the
+        // word-block phase of the sparse engine runs too.
+        vec![
+            (
+                "knodel",
+                Network::Knodel {
+                    delta: 16,
+                    n: 65_536,
+                },
+            ),
+            (
+                "rr3",
+                Network::RandomRegular {
+                    n: 20_000,
+                    d: 3,
+                    seed: 1997,
+                },
+            ),
+        ]
     } else {
         vec![
             (

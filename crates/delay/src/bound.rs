@@ -67,6 +67,12 @@ pub fn lambda_star(dg: &DelayDigraph, opts: BoundOpts) -> Option<f64> {
     let mut hi = hi;
     for _ in 0..opts.lambda_iters {
         let mid = 0.5 * (lo + hi);
+        // Once `mid` rounds onto `lo` or `hi`, every further step would
+        // re-evaluate a point already decided the same way: `lo` (and
+        // `hi`) cannot move again, so stopping is bit-identical.
+        if !(lo < mid && mid < hi) {
+            break;
+        }
         if dg.norm(mid, opts.power) <= 1.0 {
             lo = mid;
         } else {
@@ -300,6 +306,44 @@ mod tests {
                 SystolicProtocolCase::Grid(w, h) => builders::grid_traffic_light(w, h),
                 SystolicProtocolCase::Knodel(d, n) => builders::knodel_sweep(d, n),
             }
+        }
+    }
+
+    #[test]
+    fn lambda_star_early_stop_is_bit_identical_to_the_full_bisection() {
+        // Reference: the bisection without the early stop, which runs
+        // all `lambda_iters` steps even once `mid` rounds onto an endpoint.
+        fn full_bisection(dg: &DelayDigraph, opts: BoundOpts) -> Option<f64> {
+            let (mut lo, mut hi) = (1e-9, 1.0 - 1e-9);
+            if dg.norm(hi, opts.power) <= 1.0 {
+                return None;
+            }
+            if dg.norm(lo, opts.power) > 1.0 {
+                return Some(lo);
+            }
+            for _ in 0..opts.lambda_iters {
+                let mid = 0.5 * (lo + hi);
+                if dg.norm(mid, opts.power) <= 1.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            Some(lo)
+        }
+        for sp in [
+            builders::hypercube_sweep(4),
+            builders::path_rrll(16),
+            builders::cycle_rrll(12),
+            builders::grid_traffic_light(4, 4),
+            builders::knodel_sweep(4, 16),
+            builders::complete_round_robin(8),
+        ] {
+            let dg = DelayDigraph::periodic(&sp);
+            let opts = BoundOpts::default();
+            let got = lambda_star(&dg, opts).map(f64::to_bits);
+            assert_eq!(got, full_bisection(&dg, opts).map(f64::to_bits));
+            assert!(got.is_some());
         }
     }
 

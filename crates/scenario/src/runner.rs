@@ -38,7 +38,10 @@ use sg_protocol::local::BlockPattern;
 use sg_protocol::mode::Mode;
 use sg_sim::greedy::greedy_gossip;
 use sg_sim::pool::systolic_gossip_time_pool;
-use sg_sim::sparse::run_systolic_sparse_with_limit;
+// The sparse engine's row-storage budget: an unstructured instance whose
+// rows densify is aborted at this footprint with an explanatory report
+// instead of an OOM kill (worst case is the dense n²/8 bytes).
+use sg_sim::sparse::{run_systolic_sparse_with_limit, LARGE_SIM_MEM_LIMIT};
 use sg_sim::trace::knowledge_curve_pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -125,11 +128,6 @@ const WITHIN_UNIT_PARALLEL_MIN_N: usize = 2048;
 /// sparse delta engine: exact completion times, row storage
 /// proportional to the runs actually present.
 const LARGE_SIM_MIN_N: usize = 50_000;
-
-/// Row-storage budget for large sparse units. An unstructured instance
-/// whose rows densify is aborted at this footprint with an explanatory
-/// report instead of an OOM kill (worst case is the dense n²/8 bytes).
-const LARGE_SIM_MEM_LIMIT: usize = 6 << 30;
 
 fn effective_sim_threads(n: usize, sim_threads: usize) -> usize {
     if n >= WITHIN_UNIT_PARALLEL_MIN_N {

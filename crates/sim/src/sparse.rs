@@ -6,11 +6,24 @@
 //! hypercube sweep or a Knödel exchange a row is a union of a handful of
 //! *intervals* of item indices, whatever `n` is. This engine therefore
 //! keeps each row as one of three shapes: a sorted list of disjoint
-//! half-open runs `[start, end)`, a dense word block (a row whose run
-//! list outgrew the `⌈n/64⌉`-word memory-parity point spills once and
-//! stays dense), or `Full` — a completed row retires to a zero-byte
-//! marker, incoming arcs short-circuit, and outgoing arcs complete their
-//! targets in O(1).
+//! half-open runs `[start, end)`, a dense word block of `⌈n/64⌉` words,
+//! or `Full` — a completed row retires to a zero-byte marker, incoming
+//! arcs short-circuit, and outgoing arcs complete their targets in O(1).
+//!
+//! A run list spills once, and stays dense, when it outgrows the spill
+//! point. That point is set by *compute parity*: the run count at which
+//! merging two run lists costs as much as OR-ing the row's `⌈n/64⌉`
+//! words, measured at `⌈n/64⌉/16` runs (see [`spill_point`]). Scattered
+//! rows — unstructured networks, randomized gossip — therefore switch to
+//! word blocks long before they would use as much memory as one. The
+//! exception is the budget guard: when the whole table stored as word
+//! blocks (`n·⌈n/64⌉·8` bytes) would exceed [`LARGE_SIM_MEM_LIMIT`],
+//! rows keep the memory-parity point of `⌈n/64⌉` runs. Below that size
+//! even an all-word-block table fits the budget, so the early spill can
+//! raise the peak row storage ([`SparseOutcome::peak_bytes`]) of a run
+//! whose rows fragment past the spill point but never all spill — yet
+//! never past the budget. Where the peak is the table with every row a
+//! word block, as for random regular graphs, the peak is unchanged.
 //!
 //! Propagation reuses the frontier machinery of [`crate::frontier`]
 //! verbatim: per-vertex version counters bumped at end-of-round, per-arc
@@ -30,6 +43,45 @@ use crate::bitset::Knowledge;
 use crate::engine::SimResult;
 use crate::schedule::CompiledSchedule;
 use sg_protocol::protocol::SystolicProtocol;
+
+/// Row-storage budget in bytes for large sparse runs. The batch runner
+/// aborts (or refuses upfront) a unit whose rows outgrow it, and
+/// [`spill_point`] keeps memory parity for tables that could not be held
+/// as word blocks within it.
+pub const LARGE_SIM_MEM_LIMIT: usize = 6 << 30;
+
+/// Compute parity, as a divisor of the row's word count: a scattered
+/// run list of `⌈n/64⌉/16` runs merges in about the time one OR over
+/// the row's `⌈n/64⌉` words takes.
+///
+/// Measured on a 2-vCPU x86-64 VM with the release profile. Kernel
+/// level: subtracting and unioning two scattered lists of `⌈n/64⌉/k`
+/// runs costs 0.7× (k = 16) and 1.2–1.7× (k = 8) of one [`or_count`]
+/// over the `⌈n/64⌉` words, at n = 2·10⁴, 5·10⁴ and 10⁵. Engine level,
+/// where a word-block row also gives up its exact run deltas: the
+/// `gossip-scale` benchmark workload, dominated by RR(50 000, 3)
+/// half-duplex, takes 7.2–7.6 s at k = 1 (memory parity), 4.8–5.2 s at
+/// k = 4, 4.0 s at k = 8, and 3.2–3.8 s at k = 16, 32 and 64 alike.
+/// k = 16 is the smallest divisor on that plateau, so run lists are
+/// kept as long as they cost no more than the word block.
+const COMPUTE_PARITY_DIVISOR: usize = 16;
+
+/// Floor of the spill point: below it, a run list is cheaper than any
+/// word block worth allocating.
+const MIN_SPILL_RUNS: usize = 16;
+
+/// Run count above which a row of an `n`-item table (`words = ⌈n/64⌉`)
+/// spills to a word block: compute parity, unless the table held as
+/// word blocks would exceed [`LARGE_SIM_MEM_LIMIT`] — then memory parity,
+/// so that a spilled row never costs more than its run list did.
+fn spill_point(n: usize, words: usize) -> usize {
+    let as_words = n.saturating_mul(words).saturating_mul(8);
+    if as_words > LARGE_SIM_MEM_LIMIT {
+        words.max(MIN_SPILL_RUNS)
+    } else {
+        (words / COMPUTE_PARITY_DIVISOR).max(MIN_SPILL_RUNS)
+    }
+}
 
 /// One row of the sparse knowledge table.
 #[derive(Debug, Clone)]
@@ -206,7 +258,7 @@ struct Scratch {
 struct SparseState {
     n: usize,
     words: usize,
-    /// Run count above which a row spills to dense (memory parity).
+    /// Run count above which a row spills to dense ([`spill_point`]).
     spill: usize,
     rows: Vec<RowRep>,
     counts: Vec<u32>,
@@ -231,7 +283,7 @@ impl SparseState {
         Self {
             n,
             words,
-            spill: words.max(16),
+            spill: spill_point(n, words),
             bytes: rows.iter().map(rep_bytes).sum(),
             counts: vec![if n == 0 { 0 } else { 1 }; n],
             incomplete: if n <= 1 { 0 } else { n },
@@ -291,7 +343,7 @@ impl SparseState {
         let ru = self.take(u);
         let rv = self.take(v);
         match (ru, rv) {
-            (RowRep::Runs(a), RowRep::Runs(b)) => {
+            (RowRep::Runs(mut a), RowRep::Runs(mut b)) => {
                 run_subtract(&b, &a, &mut sc.added_a);
                 run_subtract(&a, &b, &mut sc.added_b);
                 let (cu, cv) = (!sc.added_a.is_empty(), !sc.added_b.is_empty());
@@ -307,8 +359,10 @@ impl SparseState {
                     self.install(u, RowRep::Dense(d.clone()), count);
                     self.install(v, RowRep::Dense(d), count);
                 } else {
-                    self.install(u, RowRep::Runs(sc.union.clone()), count);
-                    self.install(v, RowRep::Runs(sc.union.clone()), count);
+                    a.clone_from(&sc.union);
+                    b.clone_from(&sc.union);
+                    self.install(u, RowRep::Runs(a), count);
+                    self.install(v, RowRep::Runs(b), count);
                 }
                 (cu, cv)
             }
@@ -350,7 +404,7 @@ impl SparseState {
                 (true, false)
             }
             SrcView::Runs(src) => match self.take(t) {
-                RowRep::Runs(a) => {
+                RowRep::Runs(mut a) => {
                     run_subtract(src, &a, &mut sc.added_a);
                     if sc.added_a.is_empty() {
                         self.install(t, RowRep::Runs(a), c0);
@@ -358,15 +412,13 @@ impl SparseState {
                     }
                     run_union(&a, src, &mut sc.union);
                     let count = c0 + run_len(&sc.added_a);
-                    if sc.union.len() > self.spill {
-                        self.install(
-                            t,
-                            RowRep::Dense(runs_to_dense(self.words, &sc.union)),
-                            count,
-                        );
+                    let rep = if sc.union.len() > self.spill {
+                        RowRep::Dense(runs_to_dense(self.words, &sc.union))
                     } else {
-                        self.install(t, RowRep::Runs(sc.union.clone()), count);
-                    }
+                        a.clone_from(&sc.union);
+                        RowRep::Runs(a)
+                    };
+                    self.install(t, rep, count);
                     (true, true)
                 }
                 RowRep::Dense(mut d) => {
@@ -858,20 +910,34 @@ impl SparseEngine {
 
     /// End of round: bump changed rows' versions and promote their
     /// pending added runs to the row's delta.
+    ///
+    /// A `Dense` or `Full` row never gains an exact delta again (every
+    /// merge into it goes through a word block), so its buffers are freed
+    /// rather than cleared: `pending` at once, `deltas` as soon as it is
+    /// invalid — the bump that spilled a row may still carry an exact
+    /// delta its readers use next round.
     fn finish_round(&mut self) -> bool {
         let any = !self.changed_targets.is_empty();
         for &t in &self.changed_targets {
             let ti = t as usize;
             self.ver[ti] += 1;
             self.target_changed[ti] = false;
+            let runs_row = matches!(self.state.rows[ti], RowRep::Runs(_));
             if self.pending_ok[ti] && (self.state.counts[ti] as usize) < self.state.n {
                 normalize_runs(&mut self.pending[ti]);
                 std::mem::swap(&mut self.deltas[ti], &mut self.pending[ti]);
                 self.delta_ok[ti] = true;
             } else {
                 self.delta_ok[ti] = false;
+                if !runs_row {
+                    self.deltas[ti] = Vec::new();
+                }
             }
-            self.pending[ti].clear();
+            if runs_row {
+                self.pending[ti].clear();
+            } else {
+                self.pending[ti] = Vec::new();
+            }
             self.pending_ok[ti] = true;
         }
         self.changed_targets.clear();
@@ -1151,6 +1217,98 @@ mod tests {
         let sp = SystolicProtocol::new(vec![Round::empty()], Mode::Directed);
         assert_eq!(systolic_gossip_time_sparse(&sp, 0, 10), Some(0));
         assert_eq!(systolic_gossip_time_sparse(&sp, 1, 10), Some(0));
+    }
+
+    #[test]
+    fn spill_point_keeps_memory_parity_past_the_budget() {
+        // RR(20 000, 3)'s rows: 313 words, compute parity at 19 runs.
+        assert_eq!(spill_point(20_000, 313), 19);
+        assert_eq!(SparseState::new(20_000).spill, 19);
+        assert_eq!(spill_point(64, 1), MIN_SPILL_RUNS);
+        // n = 2²⁰ held as word blocks is 128 GiB: memory parity.
+        let n = 1 << 20;
+        assert!(n * (n / 64) * 8 > LARGE_SIM_MEM_LIMIT);
+        assert_eq!(spill_point(n, n / 64), n / 64);
+        // The guard switches exactly where the word-block table stops
+        // fitting the budget.
+        let fits = |n: usize| n * n.div_ceil(64) * 8 <= LARGE_SIM_MEM_LIMIT;
+        let mut edge = 1 << 17;
+        while fits(edge + 1) {
+            edge += 1;
+        }
+        assert!(fits(edge));
+        let words = edge.div_ceil(64);
+        assert_eq!(spill_point(edge, words), words / COMPUTE_PARITY_DIVISOR);
+        let words = (edge + 1).div_ceil(64);
+        assert_eq!(spill_point(edge + 1, words), words);
+    }
+
+    /// Whether any row of `state` has spilled to a word block.
+    fn has_dense_row(state: &SparseState) -> bool {
+        state.rows.iter().any(|r| matches!(r, RowRep::Dense(_)))
+    }
+
+    #[test]
+    fn scattered_rows_past_the_spill_point_match_the_dense_engine() {
+        // RR(20 000, 3) half-duplex: the spill point drops from 313 runs
+        // (memory parity) to 19, so rows cross into word blocks mid-run.
+        let n = 20_000;
+        let g = sg_graphs::generators::random_regular_seeded(n, 3, 1997);
+        let sp = builders::edge_coloring_periodic(&g);
+        let budget = 64 * sp.s() + 4096;
+        let dense = crate::engine::run_systolic(&sp, n, budget, true);
+        assert!(dense.completed_at.is_some());
+        let mut engine = SparseEngine::for_protocol(&sp, n);
+        assert_eq!(engine.state.spill, 19);
+        let mut trace = Vec::new();
+        let mut spilled = false;
+        let mut completed_at = None;
+        for i in 0..budget {
+            engine.apply(i);
+            trace.push(engine.min_count());
+            spilled |= has_dense_row(&engine.state);
+            if engine.all_complete() {
+                completed_at = Some(i + 1);
+                break;
+            }
+        }
+        assert!(spilled, "no row reached the spill point");
+        assert_eq!(completed_at, dense.completed_at);
+        assert_eq!(trace, dense.trace);
+    }
+
+    #[test]
+    fn random_matchings_past_the_spill_point_match_a_dense_replay() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let n = 20_000;
+        let mut k = SparseKnowledge::new(n);
+        assert_eq!(k.state.spill, 19);
+        let mut oracle = Knowledge::initial(n);
+        let mut rng = StdRng::seed_from_u64(1997);
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut spilled = false;
+        for round in 0..200 {
+            perm.shuffle(&mut rng);
+            let arcs: Vec<(u32, u32)> = perm
+                .chunks_exact(2)
+                .flat_map(|p| [(p[0], p[1]), (p[1], p[0])])
+                .collect();
+            k.apply_round(&arcs);
+            let old = oracle.clone();
+            for &(from, to) in &arcs {
+                oracle.absorb_row(to as usize, old.row(from as usize));
+            }
+            assert_eq!(k.to_dense(), oracle, "round {round}");
+            assert_eq!(k.min_count(), oracle.min_count(), "round {round}");
+            spilled |= has_dense_row(&k.state);
+            if oracle.all_complete() {
+                break;
+            }
+        }
+        assert!(spilled, "no row reached the spill point");
+        assert!(k.all_complete());
     }
 
     #[test]

@@ -146,6 +146,53 @@ fn all_registry_protocols_agree_across_engines() {
 }
 
 #[test]
+fn gossip_time_is_max_broadcast_time() {
+    // Definition 3.1 moves every item independently of the others, so a
+    // protocol's gossip time is the slowest of its n broadcasts —
+    // asserted through both gossip engines, not assumed.
+    use sg_sim::engine::{systolic_broadcast_time, systolic_gossip_time};
+    use sg_sim::sparse::systolic_gossip_time_sparse;
+    use systolic_gossip::Network;
+    let cases = [
+        Network::Path { n: 10 },
+        Network::Hypercube { k: 6 },
+        Network::Knodel { delta: 5, n: 32 },
+        Network::DeBruijn { d: 2, dd: 6 },
+        Network::Torus2d { w: 5, h: 7 },
+        Network::RandomRegular {
+            n: 300,
+            d: 3,
+            seed: 1997,
+        },
+    ];
+    for net in cases {
+        let n = net.build().vertex_count();
+        let sp = net
+            .reference_protocol()
+            .unwrap_or_else(|| panic!("{}: no reference protocol", net.name()));
+        let budget = 40 * n + 200;
+        let max_broadcast = (0..n)
+            .map(|src| {
+                systolic_broadcast_time(&sp, n, src, budget)
+                    .unwrap_or_else(|| panic!("{}: source {src} never broadcasts", net.name()))
+            })
+            .max();
+        assert_eq!(
+            systolic_gossip_time(&sp, n, budget),
+            max_broadcast,
+            "{}: compiled",
+            net.name()
+        );
+        assert_eq!(
+            systolic_gossip_time_sparse(&sp, n, budget),
+            max_broadcast,
+            "{}: sparse",
+            net.name()
+        );
+    }
+}
+
+#[test]
 fn final_knowledge_states_are_bit_identical() {
     // Beyond min-count traces: the raw bit tables must match at every
     // round for a representative slice of the zoo (one protocol per

@@ -212,7 +212,7 @@ fn batches_are_bit_identical_at_1_2_and_8_threads() {
                     seed: SEED,
                     max_rounds: 10_000,
                     threads,
-                    mem_limit: Some(6 << 30),
+                    mem_limit: Some(sg_sim::sparse::LARGE_SIM_MEM_LIMIT),
                 },
             )
         };
